@@ -337,29 +337,44 @@ def _cmd_af_functor(args, out) -> int:
     return EXIT_OK
 
 
+def _batch_argv(line: str) -> Optional[list]:
+    """The argv list of one batch line, or None when the line is malformed."""
+    try:
+        req = json.loads(line)
+    except json.JSONDecodeError:
+        return None
+    argv = req.get("argv") if isinstance(req, dict) else None
+    if not isinstance(argv, list) or not all(isinstance(a, str) for a in argv):
+        return None
+    return argv
+
+
 def _cmd_batch(args, out) -> int:
     if args.file and args.file != "-":
         fh = open(args.file, "r", encoding="utf-8")
     else:
         fh = sys.stdin
     try:
-        lines = [line for line in fh if line.strip()]
+        lines = [(number, line) for number, line in enumerate(fh, start=1) if line.strip()]
     finally:
         if fh is not sys.stdin:
             fh.close()
     worst = EXIT_OK
-    for line in lines:
-        req = json.loads(line)
-        argv = req.get("argv")
-        if not isinstance(argv, list):
-            raise ValueError("each batch line must be an object with an argv list")
-        buf = io.StringIO()
-        code = _run(argv, buf)
-        payload = buf.getvalue()
-        try:
-            payload = json.loads(payload)
-        except json.JSONDecodeError:
-            pass
+    for number, line in lines:
+        argv = _batch_argv(line)
+        if argv is None:
+            # a malformed line costs its own record, not the rest of the batch
+            print(f"error: batch line {number}: expected a JSON object with an argv "
+                  "list of strings", file=sys.stderr)
+            code, payload = EXIT_USAGE, ""
+        else:
+            buf = io.StringIO()
+            code = _run(argv, buf)
+            payload = buf.getvalue()
+            try:
+                payload = json.loads(payload)
+            except json.JSONDecodeError:
+                pass
         out.write(json.dumps({"v": 1, "exit": code, "output": payload},
                              sort_keys=True))
         out.write("\n")
@@ -466,10 +481,33 @@ def build_parser() -> _Parser:
     return parser
 
 
+# Options whose value is a comma list that may start with a minus sign.
+# argparse takes a token such as "-1,1,-3,2" for an option, so it is glued to
+# its option as "--mobius=-1,1,-3,2" before parsing.
+_LIST_OPTIONS = frozenset(("--mobius", "--embed", "--coords"))
+
+
+def _glue_list_values(argv: Sequence[str]) -> list:
+    out = []
+    tokens = iter(argv)
+    for tok in tokens:
+        if tok in _LIST_OPTIONS:
+            value = next(tokens, None)
+            if value is not None and value[:1] == "-" and value[1:2].isdigit():
+                out.append(f"{tok}={value}")
+                continue
+            out.append(tok)
+            if value is not None:
+                out.append(value)
+        else:
+            out.append(tok)
+    return out
+
+
 def _run(argv: Sequence[str], out) -> int:
     try:
         parser = build_parser()
-        args = parser.parse_args(list(argv))
+        args = parser.parse_args(_glue_list_values(argv))
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     except ValueError as exc:

@@ -36,6 +36,7 @@ from .numeric import (
     RealScalar,
     floor_exact,
     is_exact,
+    quotients,
     to_interval,
 )
 
@@ -97,8 +98,8 @@ def _jp_step_full(theta: Sequence[RealScalar]):
         else:
             digit.append(f)
     pivot = theta[0] - digit[0]
-    nxt = tuple((theta[i] - digit[i]) / pivot for i in range(1, len(theta)))
-    nxt = nxt + (1 / pivot,)
+    rests = [t - b for t, b in zip(theta[1:], digit[1:])]
+    nxt = quotients(rests + [Fraction(1)], pivot)
     return tuple(digit), nxt, False, amended
 
 
@@ -212,11 +213,10 @@ def jp_expand(theta: Sequence[RealScalar], depth: int = 50) -> JPExpansion:
     while len(digits) < depth:
         key = _state_key(current)
         if key is not None:
-            if key in seen:
-                start = seen[key]
+            start = seen.setdefault(key, len(digits))
+            if start != len(digits):
                 period = (start, len(digits) - start)
                 break
-            seen[key] = len(digits)
         try:
             d, nxt, term, step_amended = _jp_step_full(current)
         except IndeterminateError as exc:

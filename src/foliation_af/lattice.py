@@ -27,6 +27,7 @@ from .numeric import (
     NumberFieldElement,
     RealScalar,
     is_exact,
+    quotients,
     sign_exact,
 )
 
@@ -178,9 +179,7 @@ def module_equal(pl1: PseudoLattice, pl2: PseudoLattice) -> bool:
 
 def projectivize(pl: PseudoLattice) -> ProjectivePseudoLattice:
     """(lambda_1, ..., lambda_n) -> (1, lambda_2/lambda_1, ..., lambda_n/lambda_1)."""
-    lam1 = pl.periods[0]
-    theta = tuple(lam / lam1 for lam in pl.periods[1:])
-    return ProjectivePseudoLattice(theta=theta)
+    return ProjectivePseudoLattice(theta=quotients(pl.periods[1:], pl.periods[0]))
 
 
 def from_projective(ppl: ProjectivePseudoLattice, scale: RealScalar) -> PseudoLattice:

@@ -9,6 +9,11 @@ Every value is immutable after construction.  A scalar is one of
 All predicates on exact scalars are decided exactly; predicates on intervals
 either resolve or raise :class:`IndeterminateError`.  Precision escalation on
 an Indeterminate result is the caller's job; nothing here loops unboundedly.
+
+Field coordinates stay ``Fraction``s.  The hot kernels -- multiplication,
+inversion and interval evaluation -- put them over one common denominator
+and work on the integer numerators, building one ``Fraction`` per output
+coordinate (or endpoint) at the end.
 """
 
 from __future__ import annotations
@@ -30,6 +35,7 @@ __all__ = [
     "is_exact",
     "is_integer",
     "parse_scalar",
+    "quotients",
     "scalar_to_json",
     "sign_exact",
     "to_interval",
@@ -63,6 +69,12 @@ def _round_down(x: Fraction, bits: int) -> Fraction:
 def _round_up(x: Fraction, bits: int) -> Fraction:
     scale = 1 << bits
     return Fraction(math.ceil(x * scale), scale)
+
+
+def _over_common_denominator(coords: Sequence[Fraction]):
+    """(nums, den) with nums[i] / den == coords[i] and den the lcm of the denominators."""
+    den = math.lcm(*(c.denominator for c in coords))
+    return [c.numerator * (den // c.denominator) for c in coords], den
 
 
 def _as_fraction(x) -> Fraction:
@@ -229,40 +241,6 @@ def _poly_divmod(num, den):
     return tuple(q), _poly_trim(num)
 
 
-def _poly_xgcd(a, b):
-    """Extended gcd over Q[x]: returns (g, u, v) with u*a + v*b = g."""
-    r0, r1 = _poly_trim(a), _poly_trim(b)
-    u0, u1 = (Fraction(1),), ()
-    v0, v1 = (), (Fraction(1),)
-    while r1:
-        q, r = _poly_divmod(r0, r1)
-        r0, r1 = r1, r
-        u0, u1 = u1, _poly_sub(u0, _poly_mul(q, u1))
-        v0, v1 = v1, _poly_sub(v0, _poly_mul(q, v1))
-    return r0, u0, v0
-
-
-def _poly_mul(a, b):
-    if not a or not b:
-        return ()
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, ca in enumerate(a):
-        if ca:
-            for j, cb in enumerate(b):
-                out[i + j] += ca * cb
-    return _poly_trim(out)
-
-
-def _poly_sub(a, b):
-    n = max(len(a), len(b))
-    out = [Fraction(0)] * n
-    for i, c in enumerate(a):
-        out[i] += c
-    for i, c in enumerate(b):
-        out[i] -= c
-    return _poly_trim(out)
-
-
 def _sturm_chain(coeffs):
     chain = [_poly_trim(coeffs)]
     d = _poly_trim(_poly_deriv(coeffs))
@@ -316,7 +294,7 @@ class NumberField:
     """
 
     __slots__ = ("min_poly", "degree", "irreducibility_verified",
-                 "_coeffs", "_chain", "_init_iso", "_iso", "_sign_lo")
+                 "_coeffs", "_chain", "_init_iso", "_iso", "_sign_lo", "_slope")
 
     def __init__(self, min_poly: Sequence[int], embedding):
         coeffs = tuple(int(c) for c in min_poly)
@@ -349,6 +327,13 @@ class NumberField:
             raise RootIsolationError("embedding interval does not isolate a single root")
         object.__setattr__(self, "_chain", chain)
         object.__setattr__(self, "_init_iso", (lo, hi))
+        # With bound = max(|lo|, |hi|) = bn/bd, the slope sum_i i*|c_i|*bound**(i-1)
+        # of an element with coordinates c_i = n_i/den is
+        # sum_i weights[i-1]*|n_i| / (den * bd**(degree-2)).
+        bound = max(abs(lo), abs(hi))
+        bn, bd, d = bound.numerator, bound.denominator, self.degree
+        weights = tuple(i * bn ** (i - 1) * bd ** (d - 1 - i) for i in range(1, d))
+        object.__setattr__(self, "_slope", (weights, bd ** (d - 2)))
         object.__setattr__(self, "_iso", (lo, hi))
         object.__setattr__(self, "_sign_lo", 1 if plo > 0 else -1)
 
@@ -484,6 +469,8 @@ class NumberFieldElement:
         return hash((self.field.min_poly, self.coords))
 
     def __add__(self, other):
+        if isinstance(other, (int, Fraction)):
+            return NumberFieldElement(self.field, (self.coords[0] + other,) + self.coords[1:])
         oc = self._coerce(other)
         if oc is None:
             return NotImplemented
@@ -495,6 +482,8 @@ class NumberFieldElement:
         return NumberFieldElement(self.field, tuple(-c for c in self.coords))
 
     def __sub__(self, other):
+        if isinstance(other, (int, Fraction)):
+            return NumberFieldElement(self.field, (self.coords[0] - other,) + self.coords[1:])
         oc = self._coerce(other)
         if oc is None:
             return NotImplemented
@@ -503,18 +492,6 @@ class NumberFieldElement:
     def __rsub__(self, other):
         return (-self) + other
 
-    def _reduce(self, prod):
-        d = self.field.degree
-        mp = self.field._coeffs
-        prod = list(prod) + [Fraction(0)] * max(0, 2 * d - 1 - len(prod))
-        for i in range(len(prod) - 1, d - 1, -1):
-            t = prod[i]
-            if t:
-                prod[i] = Fraction(0)
-                for j in range(d):
-                    prod[i - d + j] -= t * mp[j]
-        return tuple(prod[:d])
-
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             q = _as_fraction(other)
@@ -522,26 +499,65 @@ class NumberFieldElement:
         oc = self._coerce(other)
         if oc is None:
             return NotImplemented
-        out = [Fraction(0)] * (2 * self.field.degree - 1)
-        for i, a in enumerate(self.coords):
-            if a:
-                for j, b in enumerate(oc):
-                    if b:
-                        out[i + j] += a * b
-        return NumberFieldElement(self.field, self._reduce(out))
+        a, den_a = _over_common_denominator(self.coords)
+        b, den_b = _over_common_denominator(oc)
+        d = self.field.degree
+        prod = [0] * (2 * d - 1)
+        for i, x in enumerate(a):
+            if x:
+                for j, y in enumerate(b):
+                    if y:
+                        prod[i + j] += x * y
+        # x**d = -(c_0 + ... + c_{d-1} x**(d-1)) for the monic integer min_poly
+        tail = self.field.min_poly[:d]
+        for i in range(2 * d - 2, d - 1, -1):
+            t = prod[i]
+            if t:
+                for j, c in enumerate(tail):
+                    if c:
+                        prod[i - d + j] -= t * c
+        den = den_a * den_b
+        return NumberFieldElement(self.field, tuple(Fraction(v, den) for v in prod[:d]))
 
     __rmul__ = __mul__
 
     def inverse(self) -> "NumberFieldElement":
         if all(c == 0 for c in self.coords):
             raise ZeroDivisionError("number field element is zero")
-        g, u, _ = _poly_xgcd(self.coords, self.field._coeffs)
-        if len(g) != 1:
-            raise ZeroDivisionError(
-                "element is not invertible (min_poly must be reducible)")
-        inv = tuple(c / g[0] for c in u)
-        inv = list(inv) + [Fraction(0)] * (self.field.degree - len(inv))
-        return NumberFieldElement(self.field, self._reduce(inv))
+        # With self = nums/den, the inverse is den * u where M u = e_0 and the
+        # columns of M are the coordinates of nums * x**j.  Fraction-free
+        # (Bareiss) elimination keeps every entry an integer; its last pivot
+        # is +-det M, and Cramer's rule makes y = det * u an integer vector.
+        nums, den = _over_common_denominator(self.coords)
+        d = self.field.degree
+        tail = self.field.min_poly[:d]
+        cols = [nums]
+        for _ in range(d - 1):
+            col = cols[-1]
+            top = col[-1]
+            cols.append([-top * tail[0]] + [col[k - 1] - top * tail[k] for k in range(1, d)])
+        m = [[col[i] for col in cols] + [int(i == 0)] for i in range(d)]
+        prev = 1
+        for k in range(d):
+            p = next((i for i in range(k, d) if m[i][k]), None)
+            if p is None:
+                raise ZeroDivisionError(
+                    "element is not invertible (min_poly must be reducible)")
+            m[k], m[p] = m[p], m[k]
+            row_k = m[k]
+            pivot = row_k[k]
+            for row in m[k + 1:]:
+                f = row[k]
+                for j in range(k + 1, d + 1):
+                    row[j] = (row[j] * pivot - f * row_k[j]) // prev
+                row[k] = 0
+            prev = pivot
+        y = [0] * d
+        for i in range(d - 1, -1, -1):
+            row = m[i]
+            acc = prev * row[d] - sum(row[j] * y[j] for j in range(i + 1, d))
+            y[i] = acc // row[i]
+        return NumberFieldElement(self.field, [Fraction(den * v, prev) for v in y])
 
     def __truediv__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -578,20 +594,26 @@ class NumberFieldElement:
         """A dyadic enclosure of width <= 2**(1 - precision)."""
         if self.is_rational():
             return IntervalReal.from_fraction(self.coords[0], precision)
-        target = Fraction(1, 1 << precision)
-        lo0, hi0 = self.field._init_iso
-        bound = max(abs(lo0), abs(hi0))
-        slope = Fraction(0)
-        for i, c in enumerate(self.coords):
-            if i >= 1 and c:
-                slope += i * abs(c) * bound ** (i - 1)
-        lo, hi = self.field.root_interval(target / slope)
-        acc_lo = acc_hi = self.coords[-1]
-        for c in reversed(self.coords[:-1]):
-            prods = (acc_lo * lo, acc_lo * hi, acc_hi * lo, acc_hi * hi)
-            acc_lo, acc_hi = min(prods) + c, max(prods) + c
-        return IntervalReal(_round_down(acc_lo, precision + 2),
-                            _round_up(acc_hi, precision + 2), precision)
+        nums, den = _over_common_denominator(self.coords)
+        # root width 2**-precision / slope keeps the enclosure within its width
+        weights, weights_den = self.field._slope
+        slope = sum(w * abs(n) for w, n in zip(weights, nums[1:]))
+        lo, hi = self.field.root_interval(Fraction(den * weights_den, slope << precision))
+        # Interval Horner on integers: the coordinates are nums / den and the
+        # root lies in [lo_n / q, hi_n / q]; after k steps the accumulators
+        # carry the positive scale den * q**k, which min/max do not disturb.
+        (lo_n, hi_n), q = _over_common_denominator((lo, hi))
+        acc_lo = acc_hi = nums[-1]
+        scale = 1
+        for c in reversed(nums[:-1]):
+            scale *= q
+            prods = (acc_lo * lo_n, acc_lo * hi_n, acc_hi * lo_n, acc_hi * hi_n)
+            acc_lo, acc_hi = min(prods) + c * scale, max(prods) + c * scale
+        # one outward rounding onto the grid 2**-(precision + 2)
+        bits = precision + 2
+        scale *= den
+        return IntervalReal(Fraction((acc_lo << bits) // scale, 1 << bits),
+                            Fraction(-((-acc_hi << bits) // scale), 1 << bits), precision)
 
     def sign(self) -> int:
         if self.is_rational():
@@ -675,6 +697,24 @@ def floor_exact(x: RealScalar) -> int:
             return flo
         raise IndeterminateError(f"interval {x!r} straddles an integer")
     raise TypeError(f"not a real scalar: {x!r}")
+
+
+def quotients(values: Sequence[RealScalar], divisor: RealScalar) -> tuple:
+    """(v / divisor for v in values), computed with one reciprocal when all are exact.
+
+    Exact quotients equal products with the exact reciprocal, so a field
+    divisor is inverted once for all values.  Intervals are divided one by
+    one: the outward rounding of a * (1/p) differs from that of a / p.
+    """
+    if isinstance(divisor, int):
+        divisor = Fraction(divisor)  # int / int would give a float
+    if is_exact(divisor) and all(is_exact(v) for v in values):
+        if isinstance(divisor, NumberFieldElement):
+            inv = divisor.inverse()
+        else:
+            inv = 1 / divisor
+        return tuple(v * inv for v in values)
+    return tuple(v / divisor for v in values)
 
 
 def compare(x: RealScalar, y: RealScalar) -> int:

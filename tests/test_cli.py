@@ -133,6 +133,47 @@ class TestBatch:
         assert code == 1  # worst exit status propagates
 
 
+    def test_malformed_line_isolated(self, tmp_path):
+        good = [json.dumps({"argv": ["cf", "7/3"]}), json.dumps({"argv": ["cf", "13/5"]})]
+        path = tmp_path / "batch.ndjson"
+        path.write_text(f"{good[0]}\nnot json\n{good[1]}\n")
+        code, text = run_cli(["batch", str(path)])
+        records = text.splitlines()
+        assert len(records) == 3
+        assert json.loads(records[1]) == {"v": 1, "exit": 1, "output": ""}
+        assert code == 1
+        # the well-formed lines give the records they give on their own
+        alone = tmp_path / "alone.ndjson"
+        alone.write_text("\n".join(good) + "\n")
+        alone_code, alone_text = run_cli(["batch", str(alone)])
+        assert alone_code == 0
+        assert [records[0], records[2]] == alone_text.splitlines()
+
+    def test_line_without_argv_list(self, tmp_path):
+        path = tmp_path / "batch.ndjson"
+        path.write_text('{"args": ["cf", "7/3"]}\n[1, 2]\n{"argv": [7]}\n{"argv": ["cf", "7/3"]}\n')
+        code, text = run_cli(["batch", str(path)])
+        records = [json.loads(line) for line in text.splitlines()]
+        assert [r["exit"] for r in records] == [1, 1, 1, 0]
+        assert code == 1
+
+
+class TestNegativeListValues:
+    def test_mobius_with_leading_minus(self):
+        base = ["af", "compare", "--poly", "x^2-2", "--embed", "1,2", "--depth", "40"]
+        spaced = run_cli(base + ["--mobius", "-1,1,-3,2"])
+        joined = run_cli(base + ["--mobius=-1,1,-3,2"])
+        assert spaced == joined
+        assert spaced[0] == 0
+        assert json.loads(spaced[1])["report"]["equivalent"] is True
+
+    def test_negative_embedding(self):
+        spaced = run_cli(["cf", "--poly", "x^2-2", "--embed", "-2,-1", "--depth", "4"])
+        joined = run_cli(["cf", "--poly", "x^2-2", "--embed=-2,-1", "--depth", "4"])
+        assert spaced == joined
+        assert spaced[0] == 0
+
+
 class TestEnvPrecision:
     def test_env_var_overrides_default(self, monkeypatch):
         monkeypatch.setenv("FOLIATION_AF_PRECISION", "64")

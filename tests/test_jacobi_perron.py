@@ -17,7 +17,7 @@ from foliation_af.jacobi_perron import (
     jp_step,
     perron_condition,
 )
-from foliation_af.numeric import NumberField, algebraic_root
+from foliation_af.numeric import NumberField, algebraic_root, to_interval
 
 from helpers import mat_product_oracle
 
@@ -50,6 +50,46 @@ class TestStep:
         assert d == (1, 1) and not term
         assert nxt[0] == (sqrt3 - 1) / (sqrt2 - 1)
         assert nxt[1] == 1 / (sqrt2 - 1)
+
+    def test_int_component_stays_exact(self):
+        # an int pivot once gave the reciprocal 1 / 1 == 1.0, a float
+        e = jp_expand((1, Fraction(1, 2)), 5)
+        assert e.digits == jp_expand((Fraction(1), Fraction(1, 2)), 5).digits
+
+    def test_one_inverse_matches_division(self):
+        sextic = NumberField((-1, -1, 0, 0, 0, 0, 1), (1, 2))
+        rng = random.Random(17)
+        vectors = [composite_sqrt2_sqrt3()]
+        while len(vectors) < 6:
+            theta = []
+            while len(theta) < 5:
+                x = sextic.element([rng.randint(-5, 5) for _ in range(6)])
+                if any(x.coords[1:]):
+                    theta.append(x if x.sign() > 0 else -x)
+            vectors.append(tuple(theta))
+        for theta in vectors:
+            for _ in range(4):
+                d, nxt, term = jp_step(theta)
+                assert not term
+                pivot = theta[0] - d[0]
+                divided = tuple((t - b) / pivot for t, b in zip(theta[1:], d[1:]))
+                divided += (1 / pivot,)
+                assert [x.coords for x in nxt] == [x.coords for x in divided]
+                # and, without any division: nxt * pivot gives back the remainders
+                rests = [t - b for t, b in zip(theta[1:], d[1:])] + [1]
+                assert all(x * pivot == r for x, r in zip(nxt, rests))
+                theta = nxt
+
+    def test_interval_step_divides_each_component(self):
+        # outward rounding must stay that of a / p, not of a * (1/p)
+        theta = (to_interval(PHI, 64), to_interval(CBRT2_FIELD.generator(), 64), Fraction(5, 3))
+        for _ in range(3):
+            d, nxt, _ = jp_step(theta)
+            pivot = theta[0] - d[0]
+            divided = tuple((t - b) / pivot for t, b in zip(theta[1:], d[1:]))
+            divided += (1 / pivot,)
+            assert [(x.lo, x.hi) for x in nxt] == [(x.lo, x.hi) for x in divided]
+            theta = nxt
 
     def test_zero_component_degenerate(self):
         with pytest.raises(DegenerateVectorError):

@@ -132,6 +132,16 @@ class TestProjectivize:
         ppl = projectivize(PseudoLattice((Fraction(3), Fraction(6), Fraction(9))))
         assert ppl.theta == (Fraction(2), Fraction(3))
 
+    def test_int_periods_stay_exact(self):
+        theta = projectivize(PseudoLattice((2, 3, 5))).theta
+        assert theta == (Fraction(3, 2), Fraction(5, 2))
+        assert all(isinstance(t, Fraction) for t in theta)
+
+    def test_field_first_period(self):
+        # one inverse of lambda_1 gives the same theta as dividing each period
+        pl = PseudoLattice((SQRT2 + 1, Fraction(3), SQRT2 * 5 - 2))
+        assert projectivize(pl).theta == tuple(lam / pl.periods[0] for lam in pl.periods[1:])
+
     def test_round_trip(self):
         # the pair (projective class, first period) determines the lattice
         rng = random.Random(107)

@@ -197,6 +197,102 @@ class TestFieldArithmetic:
         assert (SQRT2 - SQRT2).sign() == 0
 
 
+SEXTIC = NumberField((-1, -1, 0, 0, 0, 0, 1), (1, 2))
+QUADRATICS = tuple(NumberField((-d, 0, 1), (math.isqrt(d), math.isqrt(d) + 1))
+                   for d in (2, 3, 5, 6, 7, 11, 13, 9999))
+SEXTIC_ROOT = bisection_root(SEXTIC.min_poly, 1, 2, 400)
+
+
+def schoolbook_mul(a, b, min_poly):
+    """Product of coordinate vectors modulo the monic min_poly, one Fraction per term."""
+    d = len(min_poly) - 1
+    prod = [Fraction(0)] * (2 * d - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            prod[i + j] += x * y
+    for i in range(2 * d - 2, d - 1, -1):
+        t = prod[i]
+        for j in range(d):
+            prod[i - d + j] -= t * min_poly[j]
+    return tuple(prod[:d])
+
+
+def fraction_horner_interval(x, precision):
+    """The enclosure by interval Horner on Fractions, rounded outward at the end."""
+    coords, field = x.coords, x.field
+    lo0, hi0 = field._init_iso
+    bound = max(abs(lo0), abs(hi0))
+    slope = sum(i * abs(c) * bound ** (i - 1) for i, c in enumerate(coords) if i >= 1)
+    lo, hi = field.root_interval(Fraction(1, 1 << precision) / slope)
+    acc_lo = acc_hi = coords[-1]
+    for c in reversed(coords[:-1]):
+        prods = (acc_lo * lo, acc_lo * hi, acc_hi * lo, acc_hi * hi)
+        acc_lo, acc_hi = min(prods) + c, max(prods) + c
+    scale = 1 << (precision + 2)
+    return Fraction(math.floor(acc_lo * scale), scale), Fraction(math.ceil(acc_hi * scale), scale)
+
+
+coordinates = st.builds(Fraction, st.integers(-10 ** 12, 10 ** 12), st.integers(1, 10 ** 6))
+
+
+@st.composite
+def field_elements(draw, count=1):
+    field = draw(st.sampled_from((SEXTIC,) + QUADRATICS))
+    size = st.lists(coordinates, min_size=field.degree, max_size=field.degree)
+    return tuple(field.element(draw(size)) for _ in range(count))
+
+
+class TestFieldKernels:
+    @given(field_elements(count=2))
+    @settings(max_examples=150, deadline=None)
+    def test_mul_matches_schoolbook(self, pair):
+        a, b = pair
+        expected = schoolbook_mul(a.coords, b.coords, a.field.min_poly)
+        assert (a * b).coords == expected
+        assert (b * a).coords == expected
+
+    @given(field_elements())
+    @settings(max_examples=150, deadline=None)
+    def test_inverse(self, single):
+        (x,) = single
+        if not any(x.coords):
+            with pytest.raises(ZeroDivisionError):
+                x.inverse()
+            return
+        inv = x.inverse()
+        assert x * inv == 1
+        assert inv * x == 1
+
+    @given(field_elements(), st.sampled_from((8, 32, 64, 200)))
+    @settings(max_examples=150, deadline=None)
+    def test_interval_matches_fraction_horner(self, single, precision):
+        (x,) = single
+        box = x.interval(precision)
+        assert box.precision == precision
+        if x.is_rational():
+            assert box.contains(x.coords[0])
+            return
+        assert (box.lo, box.hi) == fraction_horner_interval(x, precision)
+
+    @given(field_elements(), st.sampled_from((8, 32, 64, 200)))
+    @settings(max_examples=100, deadline=None)
+    def test_interval_contains_bisection_value(self, single, precision):
+        (x,) = single
+        field = x.field
+        if field is SEXTIC:
+            lo, hi = SEXTIC_ROOT
+        else:
+            lo, hi = bisection_root(field.min_poly, *field._init_iso, 400)
+        # interval Horner over the 2**-400 bisection bracket encloses x's value
+        acc_lo = acc_hi = x.coords[-1]
+        for c in reversed(x.coords[:-1]):
+            prods = (acc_lo * lo, acc_lo * hi, acc_hi * lo, acc_hi * hi)
+            acc_lo, acc_hi = min(prods) + c, max(prods) + c
+        box = x.interval(precision)
+        assert box.lo <= acc_lo and acc_hi <= box.hi
+        assert box.width <= Fraction(2, 1 << precision)
+
+
 class TestParseSerialize:
     def test_rational_round_trip(self):
         assert parse_scalar("7/3") == Fraction(7, 3)
