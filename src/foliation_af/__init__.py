@@ -26,6 +26,7 @@ from .contfrac import (
     Mat2Z,
     PoleError,
     TailEquivalenceReport,
+    cf_convergents,
     cf_expand,
     cf_matrix_product,
     cf_tail_equivalent,

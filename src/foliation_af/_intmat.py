@@ -1,4 +1,4 @@
-"""Exact integer matrix helpers: products, determinants, Hermite normal form.
+"""Exact integer matrix helpers: running products, determinants, Hermite normal form.
 
 Matrices are tuples of row tuples of Python ints; everything is arbitrary
 precision and deterministic.
@@ -6,9 +6,8 @@ precision and deterministic.
 
 from __future__ import annotations
 
-import math
-from fractions import Fraction
-from typing import Sequence, Tuple
+from operator import mul
+from typing import Iterable, Iterator, Optional, Sequence, Tuple
 
 IntMatrix = Tuple[Tuple[int, ...], ...]
 IntVector = Tuple[int, ...]
@@ -26,13 +25,30 @@ def matmul(a: IntMatrix, b: IntMatrix) -> IntMatrix:
     if len(a[0]) != len(b):
         raise ValueError("matrix dimension mismatch")
     bt = tuple(zip(*b))
-    return tuple(tuple(sum(x * y for x, y in zip(row, col)) for col in bt) for row in a)
+    return tuple(tuple(sum(map(mul, row, col)) for col in bt) for row in a)
+
+
+def running_products(mats: Iterable[IntMatrix],
+                     start: Optional[IntMatrix] = None) -> Iterator[IntMatrix]:
+    """Yield start, m1 . start, m2 . m1 . start, ...: one product per matrix.
+
+    ``start`` defaults to the identity of the first matrix's size.
+    """
+    mats = tuple(mats)
+    if start is None:
+        if not mats:
+            raise ValueError("the empty product needs a start matrix")
+        start = identity(len(mats[0]))
+    yield start
+    for m in mats:
+        start = matmul(m, start)
+        yield start
 
 
 def mat_vec(a: IntMatrix, v: Sequence[int]) -> IntVector:
     if len(a[0]) != len(v):
         raise ValueError("matrix/vector dimension mismatch")
-    return tuple(sum(x * y for x, y in zip(row, v)) for row in a)
+    return tuple(sum(map(mul, row, v)) for row in a)
 
 
 def transpose(a: IntMatrix) -> IntMatrix:
@@ -114,11 +130,3 @@ def hnf_rows(rows: Sequence[Sequence[int]]) -> IntMatrix:
             if r == len(m):
                 break
     return freeze(m[:r])
-
-
-def common_denominator(rows: Sequence[Sequence[Fraction]]) -> int:
-    d = 1
-    for row in rows:
-        for v in row:
-            d = d * v.denominator // math.gcd(d, v.denominator)
-    return d

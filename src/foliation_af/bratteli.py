@@ -6,13 +6,16 @@ ones) can be represented as-is.  The product of the first k matrices is taken
 in the order mu_k * ... * mu_1, the order in which they act on dimension
 vectors; its transpose then pulls the level-k trace simplex back to level 1,
 which makes the normalized simplex images nested and their diameters
-monotone.
+monotone.  Cone products are computed once per diagram, as one running
+product, so a sweep over L levels takes L matrix products, not L**2 / 2.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cmp_to_key
+from itertools import islice
 from typing import Optional, Sequence, Tuple
 
 from . import _intmat
@@ -23,7 +26,7 @@ from .jacobi_perron import (
     JPLimitReport,
     jp_digit_matrix,
 )
-from .numeric import IntervalReal, _round_down, _round_up
+from .numeric import IntervalReal
 
 __all__ = [
     "BratteliDiagram",
@@ -158,6 +161,24 @@ def dimension_vectors(d: BratteliDiagram, upto: int):
     return dims
 
 
+def _cones(d: BratteliDiagram, level: int):
+    """The cone products mu_k . ... . mu_1 for k = 0..level at least, built once.
+
+    The list lives in the instance ``__dict__``, outside the dataclass fields,
+    so equality, hashing and JSON ignore it and ``dataclasses.replace`` starts
+    afresh; a deeper request extends it from its last product.
+    """
+    if level < 0:
+        raise ValueError("level must be >= 0")
+    if level > d.levels:
+        raise ValueError(f"diagram has {d.levels} levels, requested {level}")
+    cones = d.__dict__.setdefault("_cones", [_intmat.identity(d.n)])
+    if len(cones) <= level:
+        cones.extend(islice(_intmat.running_products(d.mu[len(cones) - 1:level], cones[-1]),
+                            1, None))
+    return cones
+
+
 def positive_cone_generators(d: BratteliDiagram, level: int) -> _intmat.IntMatrix:
     """mu_level . ... . mu_1; its columns generate the level-k cone image.
 
@@ -165,27 +186,15 @@ def positive_cone_generators(d: BratteliDiagram, level: int) -> _intmat.IntMatri
     reproduces the dimension vector at the level, and its transpose maps the
     standard simplex onto the level-k trace constraints.
     """
-    if level < 0:
-        raise ValueError("level must be >= 0")
-    if level > d.levels:
-        raise ValueError(f"diagram has {d.levels} levels, requested {level}")
-    product = _intmat.identity(d.n)
-    for k in range(level):
-        product = _intmat.matmul(d.mu[k], product)
-    return product
+    return _cones(d, level)[level]
 
 
 def telescope(d: BratteliDiagram, upto: int) -> DimensionGroupTelescope:
-    cones = []
-    product = _intmat.identity(d.n)
-    cones.append(product)
-    for k in range(upto):
-        product = _intmat.matmul(d.mu[k], product)
-        cones.append(product)
+    dims = tuple(dimension_vectors(d, upto))
     return DimensionGroupTelescope(
         n=d.n,
-        cone_generators_at_level=tuple(cones),
-        dims=tuple(dimension_vectors(d, upto)),
+        cone_generators_at_level=tuple(_cones(d, upto)[:upto + 1]),
+        dims=dims,
     )
 
 
@@ -196,11 +205,6 @@ class TraceReport:
     state_vector: Tuple[IntervalReal, ...]
     center: Tuple[Fraction, ...]
     diameter: Fraction
-
-    @property
-    def diameter_interval(self) -> IntervalReal:
-        return IntervalReal(_round_down(self.diameter, self.precision),
-                            _round_up(self.diameter, self.precision), self.precision)
 
     def to_json_dict(self) -> dict:
         return {
@@ -225,23 +229,24 @@ def unique_trace_estimate(d: BratteliDiagram, level: int, precision: int = 128) 
     """
     if level < 1:
         raise ValueError("level must be >= 1")
-    product = positive_cone_generators(d, level)
-    tr = _intmat.transpose(product)
-    vertices = []
-    for j in range(d.n):
-        col = tuple(tr[i][j] for i in range(d.n))
-        total = sum(col)
-        if total == 0:
-            raise ValueError(f"zero column {j} encountered (malformed diagram)")
-        vertices.append(tuple(Fraction(v, total) for v in col))
-    los = tuple(min(v[i] for v in vertices) for i in range(d.n))
-    his = tuple(max(v[i] for v in vertices) for i in range(d.n))
-    state = tuple(IntervalReal(_round_down(lo, precision), _round_up(hi, precision),
-                               precision) for lo, hi in zip(los, his))
-    center = tuple((lo + hi) / 2 for lo, hi in zip(los, his))
-    diameter = max(hi - lo for lo, hi in zip(los, his))
-    return TraceReport(level=level, precision=precision, state_vector=state,
-                       center=center, diameter=diameter)
+    rows = _cones(d, level)[level]  # row j over its sum is vertex j
+    totals = [sum(row) for row in rows]
+    if 0 in totals:
+        raise ValueError(f"zero column {totals.index(0)} encountered (malformed diagram)")
+    scale = 1 << precision
+    state, center, diameter = [], [], Fraction(0)
+    for i in range(d.n):
+        # a/s < b/t as a*t < b*s: Fractions only for the two chosen vertices
+        key = cmp_to_key(lambda j, k: rows[j][i] * totals[k] - rows[k][i] * totals[j])
+        lo_j, hi_j = min(range(d.n), key=key), max(range(d.n), key=key)
+        lo_num, lo_den, hi_num, hi_den = rows[lo_j][i], totals[lo_j], rows[hi_j][i], totals[hi_j]
+        lo, hi = Fraction(lo_num, lo_den), Fraction(hi_num, hi_den)
+        state.append(IntervalReal(Fraction((lo_num << precision) // lo_den, scale),
+                                  Fraction(-((-hi_num << precision) // hi_den), scale), precision))
+        center.append((lo + hi) / 2)
+        diameter = max(diameter, hi - lo)
+    return TraceReport(level=level, precision=precision, state_vector=tuple(state),
+                       center=tuple(center), diameter=diameter)
 
 
 def export_dot(d: BratteliDiagram) -> str:

@@ -31,8 +31,8 @@ from .contfrac import (
     InsufficientDepthError,
     Mat2Z,
     PoleError,
+    cf_convergents,
     cf_expand,
-    cf_matrix_product,
     cf_tail_equivalent,
     mobius_apply,
 )
@@ -97,13 +97,6 @@ def _default_precision() -> int:
         except ValueError:
             raise ValueError(f"{_ENV_PRECISION} must be an integer, got {raw!r}")
     return 128
-
-
-def _parse_tol(text: str) -> Fraction:
-    text = text.strip()
-    if re.fullmatch(r"[0-9]+(\.[0-9]+)?[eE]-?[0-9]+", text) or "." in text:
-        return Fraction(text.replace("E", "e"))
-    return Fraction(text)
 
 
 _TERM_RE = re.compile(
@@ -207,7 +200,7 @@ def _config_from_args(args) -> RunConfig:
     return RunConfig(
         precision=args.precision,
         depth=args.depth,
-        tol=_parse_tol(args.tol) if isinstance(args.tol, str) else args.tol,
+        tol=Fraction(args.tol),
         output=args.output,
     )
 
@@ -217,10 +210,7 @@ def _cmd_cf(args, out) -> int:
     field = _field_from_args(args)
     x = _scalar_arg(args, field)
     e = cf_expand(x, config.depth)
-    convergents = []
-    for k in range(1, min(len(e.digits), config.depth) + 1):
-        _, conv = cf_matrix_product(e, k)
-        convergents.append(str(conv))
+    convergents = [str(c) for c in cf_convergents(e, min(len(e.digits), config.depth))]
     doc = {
         "v": 1,
         "command": "cf",
@@ -254,7 +244,7 @@ def _cmd_jp(args, out) -> int:
     if args.check_perron is not None:
         doc["perron"] = perron_condition(e, Fraction(args.check_perron)).to_json_dict()
     if args.check_es_divergence:
-        tail = _parse_tol(args.tail_bound) if args.tail_bound else None
+        tail = Fraction(args.tail_bound) if args.tail_bound else None
         doc["es_divergence"] = effros_shen_divergent(e, tail).to_json_dict()
     _emit(doc, config, out)
     return EXIT_OK

@@ -10,10 +10,13 @@ decided symbolically and verdicts are proofs, not horizon evidence.
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 from typing import Optional, Tuple
 
+from . import _intmat
 from .numeric import (
     IntervalReal,
     NumberFieldElement,
@@ -29,6 +32,7 @@ __all__ = [
     "Mat2Z",
     "PoleError",
     "TailEquivalenceReport",
+    "cf_convergents",
     "cf_expand",
     "cf_matrix_product",
     "cf_tail_equivalent",
@@ -124,6 +128,16 @@ class Mat2Z:
         return ((self.a, self.b), (self.c, self.d))
 
 
+def _euclid(a1: int, a2: int) -> Tuple[CFExpansion, int]:
+    """Canonical digits of a1/a2 (a2 >= 1) by Euclid's algorithm, and the last remainder."""
+    digits = []
+    while a2:
+        q, r = divmod(a1, a2)
+        digits.append(q)
+        a1, a2 = a2, r
+    return CFExpansion(_canonical(digits), finite=True), a1
+
+
 def euclid_cf(a1: int, a2: int) -> Tuple[CFExpansion, int]:
     """Continued fraction of a1/a2 via the Euclidean algorithm, plus gcd(a1, a2).
 
@@ -132,25 +146,7 @@ def euclid_cf(a1: int, a2: int) -> Tuple[CFExpansion, int]:
     """
     if not (a1 >= a2 >= 1):
         raise ValueError("euclid_cf requires a1 >= a2 >= 1")
-    digits = []
-    x, y = a1, a2
-    while y:
-        q, r = divmod(x, y)
-        digits.append(q)
-        x, y = y, r
-    return CFExpansion(_canonical(digits), finite=True), x
-
-
-def _expand_fraction(x: Fraction) -> CFExpansion:
-    digits = []
-    while True:
-        q = math.floor(x)
-        digits.append(q)
-        frac = x - q
-        if frac == 0:
-            break
-        x = 1 / frac
-    return CFExpansion(_canonical(digits), finite=True)
+    return _euclid(a1, a2)
 
 
 def _expand_field_element(x: NumberFieldElement, depth: int) -> CFExpansion:
@@ -187,8 +183,7 @@ def _expand_interval(x: IntervalReal, depth: int) -> CFExpansion:
         frac = current - b
         if frac.lo == frac.hi == 0:
             return CFExpansion(_canonical(digits), finite=True)
-        digits_done = frac.lo <= 0  # could be exactly an integer; cannot certify more digits
-        if digits_done:
+        if frac.lo <= 0:  # could be exactly an integer; cannot certify more digits
             break
         current = 1 / frac
     return CFExpansion(tuple(digits), finite=False)
@@ -203,17 +198,29 @@ def cf_expand(x: RealScalar, depth: int = 50) -> CFExpansion:
     """
     if depth < 1:
         raise ValueError("depth must be >= 1")
-    if isinstance(x, int):
-        return CFExpansion((x,), finite=True)
-    if isinstance(x, Fraction):
-        return _expand_fraction(x)
+    if isinstance(x, NumberFieldElement) and x.is_rational():
+        x = x.as_fraction()
+    if isinstance(x, (int, Fraction)):  # floor, subtract, invert on p/q is Euclid on (p, q)
+        return _euclid(x.numerator, x.denominator)[0]
     if isinstance(x, NumberFieldElement):
-        if x.is_rational():
-            return _expand_fraction(x.as_fraction())
         return _expand_field_element(x, depth)
     if isinstance(x, IntervalReal):
         return _expand_interval(x, depth)
     raise TypeError(f"not a real scalar: {x!r}")
+
+
+def _digit_products(e: CFExpansion, k: int):
+    """Running products (0 1; 1 b_j) . ... . (0 1; 1 b_1) for j = 0..k.
+
+    Each digit matrix is symmetric, so the j-th product is the transpose of
+    (0 1; 1 b_1) . ... . (0 1; 1 b_j), whose second column is (q_j, p_j).
+    """
+    if k < 0:
+        raise ValueError("k must be >= 0")
+    if k > len(e.digits):
+        raise ValueError(f"only {len(e.digits)} digits available, requested {k}")
+    return _intmat.running_products((((0, 1), (1, b)) for b in e.digits[:k]),
+                                    _intmat.identity(2))
 
 
 def cf_matrix_product(e: CFExpansion, k: int) -> Tuple[Mat2Z, Optional[Fraction]]:
@@ -222,17 +229,14 @@ def cf_matrix_product(e: CFExpansion, k: int) -> Tuple[Mat2Z, Optional[Fraction]
     The product maps (0, 1)^T to (q_k, p_k); the convergent is p_k / q_k.
     For k = 0 the product is the identity and there is no convergent.
     """
-    if k < 0:
-        raise ValueError("k must be >= 0")
-    if k > len(e.digits):
-        raise ValueError(f"only {len(e.digits)} digits available, requested {k}")
-    m = Mat2Z.identity()
-    for b in e.digits[:k]:
-        m = m @ Mat2Z(0, 1, 1, b)
-    if k == 0:
-        return m, None
-    q, p = m.b, m.d  # image of (0, 1)^T
-    return m, Fraction(p, q)
+    (r,) = deque(_digit_products(e, k), maxlen=1)
+    m = Mat2Z(r[0][0], r[1][0], r[0][1], r[1][1])
+    return m, (Fraction(m.d, m.b) if k else None)
+
+
+def cf_convergents(e: CFExpansion, k: int) -> Tuple[Fraction, ...]:
+    """The convergents p_1/q_1, ..., p_k/q_k, from one running product."""
+    return tuple(Fraction(r[1][1], r[1][0]) for r in islice(_digit_products(e, k), 1, None))
 
 
 def mobius_apply(m: Mat2Z, x: RealScalar) -> RealScalar:
@@ -324,11 +328,12 @@ def cf_tail_equivalent(x: RealScalar, y: RealScalar, depth: int = 200,
     """
     ex = x if isinstance(x, CFExpansion) else cf_expand(x, depth)
     ey = y if isinstance(y, CFExpansion) else cf_expand(y, depth)
-    for e, name in ((ex, "x"), (ey, "y")):
-        avail = _available(e)
-        if avail is not None and avail < max_offset + 3:
-            raise InsufficientDepthError(
-                f"{name} provides {avail} digits; need at least {max_offset + 3}")
+    if not (ex.finite and ey.finite):  # two finite expansions are decided at any length
+        for e, name in ((ex, "x"), (ey, "y")):
+            avail = _available(e)
+            if avail is not None and avail < max_offset + 3:
+                raise InsufficientDepthError(
+                    f"{name} provides {avail} digits; need at least {max_offset + 3}")
 
     for total in range(2 * max_offset + 1):
         for i in range(max(0, total - max_offset), min(total, max_offset) + 1):

@@ -313,16 +313,14 @@ def jp_convergents(e: JPExpansion, upto: int):
     n = e.n
     a = _a_sequence(e, upto)
     states = []
-    product = _intmat.identity(n)
-    for nu in range(upto + 1):
+    # the columns of D_1 ... D_nu are the rows of its transpose D_nu^T ... D_1^T
+    transposed = (_intmat.transpose(jp_digit_matrix(d, n)) for d in e.digits[:upto])
+    for nu, prod_cols in enumerate(_intmat.running_products(transposed, _intmat.identity(n))):
         cols = tuple(a[nu + c] for c in range(n))
-        prod_cols = _intmat.transpose(product)
         if prod_cols != cols:
             raise InternalConsistencyError(
                 f"recurrence/matrix mismatch at step {nu}: {cols} vs {prod_cols}")
         states.append(JPConvergentState(n=n, nu=nu, columns=cols))
-        if nu < upto:
-            product = _intmat.matmul(product, jp_digit_matrix(e.digits[nu], n))
     return states
 
 
@@ -420,9 +418,7 @@ def jp_limit_check(e: JPExpansion, theta: Optional[Sequence[RealScalar]],
 
 
 def _ratio_equals(r: Fraction, t: RealScalar) -> bool:
-    if isinstance(t, int):
-        return r == t
-    if isinstance(t, Fraction):
+    if isinstance(t, (int, Fraction)):
         return r == t
     if isinstance(t, NumberFieldElement):
         return t.is_rational() and t.as_fraction() == r

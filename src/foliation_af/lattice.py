@@ -14,6 +14,7 @@ positive scalings.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence, Tuple
@@ -171,7 +172,7 @@ def module_equal(pl1: PseudoLattice, pl2: PseudoLattice) -> bool:
     field = _common_field(pl1.periods + pl2.periods)
     rows1 = _coordinate_rows(pl1, field)
     rows2 = _coordinate_rows(pl2, field)
-    den = _intmat.common_denominator(rows1 + rows2)
+    den = math.lcm(*(v.denominator for row in rows1 + rows2 for v in row))
     int1 = [[int(v * den) for v in row] for row in rows1]
     int2 = [[int(v * den) for v in row] for row in rows2]
     return _intmat.hnf_rows(int1) == _intmat.hnf_rows(int2)

@@ -33,7 +33,6 @@ __all__ = [
     "compare",
     "floor_exact",
     "is_exact",
-    "is_integer",
     "parse_scalar",
     "quotients",
     "scalar_to_json",
@@ -655,18 +654,6 @@ def sign_exact(x: RealScalar) -> int:
         if x.lo == x.hi == 0:
             return 0
         raise IndeterminateError(f"interval {x!r} straddles zero")
-    raise TypeError(f"not a real scalar: {x!r}")
-
-
-def is_integer(x: RealScalar) -> bool:
-    if isinstance(x, int):
-        return True
-    if isinstance(x, Fraction):
-        return x.denominator == 1
-    if isinstance(x, NumberFieldElement):
-        return x.is_rational() and x.coords[0].denominator == 1
-    if isinstance(x, IntervalReal):
-        return x.lo == x.hi and x.lo.denominator == 1
     raise TypeError(f"not a real scalar: {x!r}")
 
 

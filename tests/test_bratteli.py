@@ -1,9 +1,15 @@
+import dataclasses
+import json
+import math
 import os
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from foliation_af import _intmat
 from foliation_af._intmat import det, identity, mat_vec
 from foliation_af.bratteli import (
     BratteliDiagram,
@@ -22,6 +28,7 @@ from foliation_af.jacobi_perron import (
     JPExpansion,
     effros_shen_divergent,
     effros_shen_expansion,
+    jp_digit_matrix,
     jp_expand,
     jp_limit_check,
 )
@@ -244,3 +251,86 @@ class TestDiagramValidation:
         d = diagram_from_digits([(1, 2), (0, 1)], n=3)
         doc = d.to_json_dict()
         assert doc["n"] == 3 and len(doc["mu"]) == 2
+
+
+def _reference_box(product, precision):
+    """Trace box of the level-k simplex image with plain Fractions: (lo, hi, center, diameter)."""
+    n = len(product)
+    vertices = [[Fraction(v, sum(row)) for v in row] for row in product]
+    los = [min(v[i] for v in vertices) for i in range(n)]
+    his = [max(v[i] for v in vertices) for i in range(n)]
+    scale = 2 ** precision
+    lo_round = [Fraction(math.floor(x * scale), scale) for x in los]
+    hi_round = [Fraction(math.ceil(x * scale), scale) for x in his]
+    center = [(lo + hi) / 2 for lo, hi in zip(los, his)]
+    diameter = max(hi - lo for lo, hi in zip(los, his))
+    return lo_round, hi_round, center, diameter
+
+
+@st.composite
+def _digit_sweeps(draw):
+    """Random digits at rank 2-6 with 0-40 levels, and queries in a random level order."""
+    n = draw(st.integers(min_value=2, max_value=6))
+    levels = draw(st.integers(min_value=0, max_value=40))
+    digit = st.lists(st.integers(min_value=0, max_value=4), min_size=n - 1, max_size=n - 1)
+    digits = draw(st.lists(digit, min_size=levels, max_size=levels))
+    query = st.tuples(st.integers(min_value=0, max_value=levels),
+                      st.sampled_from(("cone", "telescope", "trace")))
+    queries = draw(st.lists(query, min_size=1, max_size=10))
+    precision = draw(st.integers(min_value=1, max_value=200))
+    return n, digits, queries, precision
+
+
+class TestConeCache:
+    @given(_digit_sweeps())
+    @settings(max_examples=120, deadline=None)
+    def test_random_order_queries_match_oracles(self, sweep):
+        n, digits, queries, precision = sweep
+        d = diagram_from_digits(digits, n=n)
+        mats = [jp_digit_matrix(b, n) for b in digits]
+
+        def oracle(level):
+            return mat_product_oracle(mats[:level][::-1]) if level else identity(n)
+
+        for level, kind in queries:
+            if kind == "cone":
+                assert positive_cone_generators(d, level) == oracle(level)
+            elif kind == "telescope":
+                t = telescope(d, level)
+                assert t.cone_generators_at_level == tuple(oracle(k) for k in range(level + 1))
+            elif level >= 1:
+                report = unique_trace_estimate(d, level, precision)
+                lo, hi, center, diameter = _reference_box(oracle(level), precision)
+                assert [s.lo for s in report.state_vector] == lo
+                assert [s.hi for s in report.state_vector] == hi
+                assert list(report.center) == center
+                assert report.diameter == diameter
+                assert all(s.precision == precision for s in report.state_vector)
+
+    def test_cache_leaves_equality_hash_and_json(self):
+        digits = [(1, 2), (0, 1), (2, 3), (1, 1)]
+        d = diagram_from_digits(digits, n=3)
+        before = json.dumps(d.to_json_dict())
+        for level in range(1, d.levels + 1):
+            unique_trace_estimate(d, level)
+        fresh = diagram_from_digits(digits, n=3)
+        assert d == fresh and hash(d) == hash(fresh)
+        assert json.dumps(d.to_json_dict()) == before == json.dumps(fresh.to_json_dict())
+
+    def test_replace_does_not_carry_the_cache(self):
+        d = diagram_from_digits([(1, 2), (0, 1), (2, 3)], n=3)
+        positive_cone_generators(d, 3)
+        other = [(3, 3), (1, 0), (0, 2)]
+        replaced = dataclasses.replace(d, mu=tuple(jp_digit_matrix(b, 3) for b in other))
+        expected = mat_product_oracle([jp_digit_matrix(b, 3) for b in reversed(other)])
+        assert positive_cone_generators(replaced, 3) == expected
+        assert positive_cone_generators(d, 3) != expected
+
+    def test_trace_sweep_makes_one_product_per_level(self, monkeypatch):
+        real = _intmat.matmul
+        calls = []
+        monkeypatch.setattr(_intmat, "matmul", lambda a, b: calls.append(1) or real(a, b))
+        d = diagram_from_digits([(k % 3, 1 + k % 2) for k in range(100)], n=3)
+        for level in range(1, 101):
+            unique_trace_estimate(d, level)
+        assert len(calls) <= 100

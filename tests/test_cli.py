@@ -6,7 +6,9 @@ import sys
 
 import pytest
 
+from foliation_af import _intmat
 from foliation_af.cli import _run, parse_polynomial
+from foliation_af.contfrac import Mat2Z
 
 from cli_cases import GOLDEN_CASES
 
@@ -60,6 +62,23 @@ def test_af_compare_two_scalars():
     assert code == 0
     doc = json.loads(text)
     assert doc["report"]["equivalent"] is True and doc["report"]["proven"] is True
+
+
+def test_af_compare_two_rationals():
+    code, text = run_cli(["af", "compare", "7/3", "5/3"])
+    assert code == 0
+    doc = json.loads(text)
+    assert doc["report"]["equivalent"] is True and doc["report"]["proven"] is True
+
+
+def test_cf_makes_one_product_per_convergent(monkeypatch):
+    calls = []
+    real_matmul, real_mat2z = _intmat.matmul, Mat2Z.__matmul__
+    monkeypatch.setattr(_intmat, "matmul", lambda a, b: calls.append(1) or real_matmul(a, b))
+    monkeypatch.setattr(Mat2Z, "__matmul__", lambda a, b: calls.append(1) or real_mat2z(a, b))
+    code, text = run_cli(["cf", "--poly", "x^2-2", "--embed", "1,2", "--depth", "200"])
+    assert code == 0 and len(json.loads(text)["convergents"]) == 200
+    assert len(calls) <= 200
 
 
 class TestExitCodes:

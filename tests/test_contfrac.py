@@ -166,6 +166,10 @@ class TestTailEquivalence:
         rep = cf_tail_equivalent(PHI, PHI, depth=50, max_offset=10)
         assert rep.equivalent and rep.proven and rep.offsets == (0, 0)
 
+    def test_two_rationals_decided(self):
+        rep = cf_tail_equivalent(Fraction(7, 3), Fraction(5, 3))
+        assert rep.equivalent and rep.proven
+
     def test_insufficient_depth_for_rationals(self):
         with pytest.raises(InsufficientDepthError):
             cf_tail_equivalent(Fraction(7, 3), SQRT2, depth=50, max_offset=10)

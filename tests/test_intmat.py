@@ -1,8 +1,24 @@
+import io
+import json
 import random
+from fractions import Fraction
 
-from foliation_af._intmat import det, hnf_rows, identity, is_unimodular, mat_vec, matmul
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from helpers import sympy_lattice_form
+from foliation_af._intmat import (
+    det,
+    hnf_rows,
+    identity,
+    is_unimodular,
+    mat_vec,
+    matmul,
+    running_products,
+)
+from foliation_af.cli import _run
+
+from helpers import convergents_oracle, mat_product_oracle, sympy_lattice_form
 
 
 def test_matmul_identity():
@@ -20,6 +36,51 @@ def test_det_against_sympy():
         n = rng.randint(1, 5)
         m = tuple(tuple(rng.randint(-9, 9) for _ in range(n)) for _ in range(n))
         assert det(m) == Matrix(m).det()
+
+
+def _square_matrices(n):
+    entries = st.integers(min_value=-5, max_value=5)
+    row = st.tuples(*[entries] * n)
+    return st.tuples(*[row] * n)
+
+
+class TestRunningProducts:
+    @given(st.integers(min_value=1, max_value=5).flatmap(
+        lambda n: st.lists(_square_matrices(n), max_size=12)))
+    @settings(max_examples=150)
+    def test_prefixes_match_oracle(self, mats):
+        if not mats:
+            return
+        n = len(mats[0])
+        products = list(running_products(mats, identity(n)))
+        assert len(products) == len(mats) + 1
+        assert products[0] == identity(n)
+        for k in range(1, len(mats) + 1):
+            # running_products multiplies on the left: m_k . ... . m_1
+            assert products[k] == mat_product_oracle(mats[:k][::-1])
+        assert list(running_products(mats)) == products
+
+    def test_start_matrix(self):
+        start = ((2, 1), (1, 1))
+        m = ((0, 1), (1, 3))
+        assert list(running_products([m, m], start)) == [
+            start, matmul(m, start), matmul(m, matmul(m, start))]
+        assert list(running_products([], start)) == [start]
+
+    def test_empty_without_start_rejected(self):
+        with pytest.raises(ValueError):
+            list(running_products([]))
+
+    @given(st.integers(min_value=-10 ** 6, max_value=10 ** 6),
+           st.integers(min_value=1, max_value=10 ** 4))
+    @settings(max_examples=100)
+    def test_cf_command_convergents_match_oracle(self, p, q):
+        buf = io.StringIO()
+        assert _run(["cf", "--", f"{p}/{q}"], buf) == 0
+        doc = json.loads(buf.getvalue())
+        ps, qs = convergents_oracle(doc["expansion"]["digits"])
+        assert doc["convergents"] == [str(Fraction(a, b)) for a, b in zip(ps, qs)]
+        assert doc["convergents"][-1] == str(Fraction(p, q))
 
 
 def test_unimodular():
