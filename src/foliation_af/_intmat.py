@@ -7,7 +7,7 @@ precision and deterministic.
 from __future__ import annotations
 
 from operator import mul
-from typing import Iterable, Iterator, Optional, Sequence, Tuple
+from typing import Iterable, Iterator, Sequence, Tuple
 
 IntMatrix = Tuple[Tuple[int, ...], ...]
 IntVector = Tuple[int, ...]
@@ -28,17 +28,8 @@ def matmul(a: IntMatrix, b: IntMatrix) -> IntMatrix:
     return tuple(tuple(sum(map(mul, row, col)) for col in bt) for row in a)
 
 
-def running_products(mats: Iterable[IntMatrix],
-                     start: Optional[IntMatrix] = None) -> Iterator[IntMatrix]:
-    """Yield start, m1 . start, m2 . m1 . start, ...: one product per matrix.
-
-    ``start`` defaults to the identity of the first matrix's size.
-    """
-    mats = tuple(mats)
-    if start is None:
-        if not mats:
-            raise ValueError("the empty product needs a start matrix")
-        start = identity(len(mats[0]))
+def running_products(mats: Iterable[IntMatrix], start: IntMatrix) -> Iterator[IntMatrix]:
+    """Yield start, m1 . start, m2 . m1 . start, ...: one product per matrix."""
     yield start
     for m in mats:
         start = matmul(m, start)

@@ -26,7 +26,7 @@ from .jacobi_perron import (
     JPLimitReport,
     jp_digit_matrix,
 )
-from .numeric import IntervalReal
+from .numeric import IntervalReal, _round_down, _round_up
 
 __all__ = [
     "BratteliDiagram",
@@ -233,16 +233,13 @@ def unique_trace_estimate(d: BratteliDiagram, level: int, precision: int = 128) 
     totals = [sum(row) for row in rows]
     if 0 in totals:
         raise ValueError(f"zero column {totals.index(0)} encountered (malformed diagram)")
-    scale = 1 << precision
     state, center, diameter = [], [], Fraction(0)
     for i in range(d.n):
         # a/s < b/t as a*t < b*s: Fractions only for the two chosen vertices
         key = cmp_to_key(lambda j, k: rows[j][i] * totals[k] - rows[k][i] * totals[j])
         lo_j, hi_j = min(range(d.n), key=key), max(range(d.n), key=key)
-        lo_num, lo_den, hi_num, hi_den = rows[lo_j][i], totals[lo_j], rows[hi_j][i], totals[hi_j]
-        lo, hi = Fraction(lo_num, lo_den), Fraction(hi_num, hi_den)
-        state.append(IntervalReal(Fraction((lo_num << precision) // lo_den, scale),
-                                  Fraction(-((-hi_num << precision) // hi_den), scale), precision))
+        lo, hi = Fraction(rows[lo_j][i], totals[lo_j]), Fraction(rows[hi_j][i], totals[hi_j])
+        state.append(IntervalReal(_round_down(lo, precision), _round_up(hi, precision), precision))
         center.append((lo + hi) / 2)
         diameter = max(diameter, hi - lo)
     return TraceReport(level=level, precision=precision, state_vector=tuple(state),

@@ -183,7 +183,8 @@ def _expand_interval(x: IntervalReal, depth: int) -> CFExpansion:
         frac = current - b
         if frac.lo == frac.hi == 0:
             return CFExpansion(_canonical(digits), finite=True)
-        if frac.lo <= 0:  # could be exactly an integer; cannot certify more digits
+        digits_done = frac.lo <= 0  # could be exactly an integer; cannot certify more digits
+        if digits_done:
             break
         current = 1 / frac
     return CFExpansion(tuple(digits), finite=False)
@@ -324,11 +325,13 @@ def cf_tail_equivalent(x: RealScalar, y: RealScalar, depth: int = 200,
     Searches offsets (i, j) with i, j <= max_offset, smallest i+j first, for
     x.digits[i:] == y.digits[j:].  For eventually periodic expansions a
     verdict (either way) is a proof; otherwise a match at horizon ``depth``
-    is reported as evidence with ``proven = False``.
+    is reported as evidence with ``proven = False``.  Two rationals are always
+    equivalent: their empty tails agree, past the offset bound if need be.
     """
     ex = x if isinstance(x, CFExpansion) else cf_expand(x, depth)
     ey = y if isinstance(y, CFExpansion) else cf_expand(y, depth)
-    if not (ex.finite and ey.finite):  # two finite expansions are decided at any length
+    rationals = ex.finite and ey.finite
+    if not rationals:
         for e, name in ((ex, "x"), (ey, "y")):
             avail = _available(e)
             if avail is not None and avail < max_offset + 3:
@@ -348,6 +351,8 @@ def cf_tail_equivalent(x: RealScalar, y: RealScalar, depth: int = 200,
         complete = (max_offset >= ex.period[0] + ex.period[1] - 1
                     and max_offset >= ey.period[0] + ey.period[1] - 1)
         return TailEquivalenceReport(False, complete, None, depth, max_offset)
-    if ex.finite and ey.finite:
-        return TailEquivalenceReport(False, True, None, depth, max_offset)
+    if rationals:
+        # any two rationals are GL2(Z)-equivalent: their empty tails always agree
+        return TailEquivalenceReport(True, True, (len(ex.digits), len(ey.digits)),
+                                     depth, max_offset)
     return TailEquivalenceReport(False, False, None, depth, max_offset)

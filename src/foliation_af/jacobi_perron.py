@@ -418,7 +418,9 @@ def jp_limit_check(e: JPExpansion, theta: Optional[Sequence[RealScalar]],
 
 
 def _ratio_equals(r: Fraction, t: RealScalar) -> bool:
-    if isinstance(t, (int, Fraction)):
+    if isinstance(t, int):
+        return r == t
+    if isinstance(t, Fraction):
         return r == t
     if isinstance(t, NumberFieldElement):
         return t.is_rational() and t.as_fraction() == r

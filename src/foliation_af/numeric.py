@@ -61,13 +61,11 @@ class RootIsolationError(ValueError):
 
 
 def _round_down(x: Fraction, bits: int) -> Fraction:
-    scale = 1 << bits
-    return Fraction(math.floor(x * scale), scale)
+    return Fraction((x.numerator << bits) // x.denominator, 1 << bits)
 
 
 def _round_up(x: Fraction, bits: int) -> Fraction:
-    scale = 1 << bits
-    return Fraction(math.ceil(x * scale), scale)
+    return Fraction(-((-x.numerator << bits) // x.denominator), 1 << bits)
 
 
 def _over_common_denominator(coords: Sequence[Fraction]):

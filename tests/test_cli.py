@@ -71,6 +71,14 @@ def test_af_compare_two_rationals():
     assert doc["report"]["equivalent"] is True and doc["report"]["proven"] is True
 
 
+def test_af_compare_short_rational_with_long_rational():
+    # 7/3 has 2 digits, F60/F59 has 58: the common tail lies past the offset bound
+    code, text = run_cli(["af", "compare", "7/3", "1548008755920/956722026041"])
+    assert code == 0
+    doc = json.loads(text)
+    assert doc["report"]["equivalent"] is True and doc["report"]["proven"] is True
+
+
 def test_cf_makes_one_product_per_convergent(monkeypatch):
     calls = []
     real_matmul, real_mat2z = _intmat.matmul, Mat2Z.__matmul__

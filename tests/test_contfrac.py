@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from foliation_af.contfrac import (
     CFExpansion,
@@ -169,6 +171,34 @@ class TestTailEquivalence:
     def test_two_rationals_decided(self):
         rep = cf_tail_equivalent(Fraction(7, 3), Fraction(5, 3))
         assert rep.equivalent and rep.proven
+
+    def test_short_rational_against_long_rational(self):
+        # 7/3 has 2 digits and F60/F59 has 58: no nonempty tail matches within
+        # the offset bound, so the witness is the pair of empty tails
+        a, b = 0, 1
+        for _ in range(59):
+            a, b = b, a + b
+        long = cf_expand(Fraction(b, a))
+        assert long.depth == 58
+        rep = cf_tail_equivalent(Fraction(7, 3), Fraction(b, a))
+        assert rep.equivalent and rep.proven and rep.offsets == (2, 58)
+
+    @pytest.mark.parametrize("length", [40, 41, 42, 43])
+    def test_rational_lengths_around_the_offset_bound(self, length):
+        # 7/2 = [3; 2] shares only its empty tail with [3; 3, ..., 3]
+        ps, qs = convergents_oracle([3] * length)
+        assert cf_expand(Fraction(ps[-1], qs[-1])).depth == length
+        rep = cf_tail_equivalent(Fraction(7, 2), Fraction(ps[-1], qs[-1]))
+        assert rep.equivalent and rep.proven and rep.offsets == (2, length)
+
+    @given(st.fractions(max_denominator=10 ** 12), st.fractions(max_denominator=10 ** 12),
+           st.integers(min_value=0, max_value=6))
+    @settings(max_examples=200)
+    def test_any_two_rationals_proven_equivalent(self, x, y, max_offset):
+        rep = cf_tail_equivalent(x, y, max_offset=max_offset)
+        assert rep.equivalent and rep.proven
+        i, j = rep.offsets
+        assert cf_expand(x).digits[i:] == cf_expand(y).digits[j:]
 
     def test_insufficient_depth_for_rationals(self):
         with pytest.raises(InsufficientDepthError):

@@ -3,7 +3,6 @@ import json
 import random
 from fractions import Fraction
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -58,7 +57,6 @@ class TestRunningProducts:
         for k in range(1, len(mats) + 1):
             # running_products multiplies on the left: m_k . ... . m_1
             assert products[k] == mat_product_oracle(mats[:k][::-1])
-        assert list(running_products(mats)) == products
 
     def test_start_matrix(self):
         start = ((2, 1), (1, 1))
@@ -66,10 +64,6 @@ class TestRunningProducts:
         assert list(running_products([m, m], start)) == [
             start, matmul(m, start), matmul(m, matmul(m, start))]
         assert list(running_products([], start)) == [start]
-
-    def test_empty_without_start_rejected(self):
-        with pytest.raises(ValueError):
-            list(running_products([]))
 
     @given(st.integers(min_value=-10 ** 6, max_value=10 ** 6),
            st.integers(min_value=1, max_value=10 ** 4))
